@@ -1,7 +1,7 @@
 (** [bench kernels]: the repo's first {e real} (wall-clock, non-simulated)
     performance section. It measures the Bigarray kernel layer against the
     retained {!S4o_tensor.Reference} implementations — matmul GFLOP/s,
-    im2col conv2d vs the naive loop nest, fused elementwise vs the generic
+    im2col conv2d vs the naive loop nest, run-based elementwise vs the
     stride walker, and matmul scaling over 1/2/4/8 domains — and with
     [--json] writes [BENCH_kernels.json].
 
@@ -117,99 +117,130 @@ let bench_matmul ~quick ~min_time =
 (* ------------------------------------------------------------- conv2d -- *)
 
 let bench_conv ~quick ~min_time =
-  (* A ResNet basic-block shape: 3x3 Same convolution on a 14x14x64 feature
-     map (batch 8); --quick halves batch and channels. *)
-  let n, hw, c = if quick then (4, 14, 32) else (8, 14, 64) in
   let rng = S4o_tensor.Prng.create 43 in
-  let input = Dense.rand_normal rng [| n; hw; hw; c |] in
-  let filter = Dense.rand_normal rng [| 3; 3; c; c |] in
-  let shape_str = Printf.sprintf "[%d;%d;%d;%d]x[3;3;%d;%d]" n hw hw c c c in
-  let new_t =
-    time_it ~min_time ~name:"conv2d-im2col" (fun () ->
-        Convolution.conv2d ~domains:1 ~padding:Convolution.Same input filter)
+  (* key, batch, spatial, in channels, out channels, kernel: a ResNet
+     basic-block 3x3 convolution on a 14x14x64 feature map (batch 8; --quick
+     halves batch and channels), and LeNet-5's first layer, whose single
+     input channel makes im2col copy 5-element spans. *)
+  let cases =
+    [
+      (if quick then ("conv2d_resnet_block", 4, 14, 32, 32, 3)
+       else ("conv2d_resnet_block", 8, 14, 64, 64, 3));
+      ("conv2d_lenet_c1", 32, 28, 1, 6, 5);
+    ]
   in
-  let ref_t =
-    time_it ~min_time ~name:"conv2d-naive" (fun () ->
-        Reference.conv2d ~padding:Convolution.Same input filter)
+  let rows =
+    List.map
+      (fun (key, n, hw, cin, cout, k) ->
+        let input = Dense.rand_normal rng [| n; hw; hw; cin |] in
+        let filter = Dense.rand_normal rng [| k; k; cin; cout |] in
+        let shape_str =
+          Printf.sprintf "[%d;%d;%d;%d]x[%d;%d;%d;%d]" n hw hw cin k k cin cout
+        in
+        let new_t =
+          time_it ~min_time ~name:(key ^ "-im2col") (fun () ->
+              Convolution.conv2d ~domains:1 ~padding:Convolution.Same input
+                filter)
+        in
+        let ref_t =
+          time_it ~min_time ~name:(key ^ "-naive") (fun () ->
+              Reference.conv2d ~padding:Convolution.Same input filter)
+        in
+        let flops =
+          float_of_int
+            (Convolution.conv2d_flops ~padding:Convolution.Same
+               ~input:[| n; hw; hw; cin |] [| k; k; cin; cout |])
+        in
+        let speedup = ref_t /. new_t in
+        ( [
+            shape_str;
+            ms new_t;
+            ms ref_t;
+            Printf.sprintf "%.2f" (flops /. new_t /. 1e9);
+            Printf.sprintf "%.2fx" speedup;
+          ],
+          {
+            key;
+            speedup;
+            row =
+              Json.Obj
+                [
+                  ("key", Json.Str key);
+                  ("shape", Json.Str shape_str);
+                  ("new_s", Json.Num new_t);
+                  ("ref_s", Json.Num ref_t);
+                  ("speedup", Json.Num speedup);
+                ];
+          } ))
+      cases
   in
-  let flops =
-    float_of_int
-      (Convolution.conv2d_flops ~padding:Convolution.Same
-         ~input:[| n; hw; hw; c |] [| 3; 3; c; c |])
-  in
-  let speedup = ref_t /. new_t in
   Report.table
-    ~title:"Kernels 2: conv2d (ResNet-block shape), im2col vs naive loops"
+    ~title:
+      "Kernels 2: conv2d (ResNet block, LeNet layer 1), im2col vs naive loops"
     ~headers:[ "shape"; "im2col ms"; "naive ms"; "GFLOP/s"; "speedup" ]
-    ~rows:
-      [
-        [
-          shape_str;
-          ms new_t;
-          ms ref_t;
-          Printf.sprintf "%.2f" (flops /. new_t /. 1e9);
-          Printf.sprintf "%.2fx" speedup;
-        ];
-      ];
-  [
-    {
-      key = "conv2d_resnet_block";
-      speedup;
-      row =
-        Json.Obj
-          [
-            ("shape", Json.Str shape_str);
-            ("new_s", Json.Num new_t);
-            ("ref_s", Json.Num ref_t);
-            ("speedup", Json.Num speedup);
-          ];
-    };
-  ]
+    ~rows:(List.map fst rows);
+  List.map snd rows
 
 (* -------------------------------------------------------- elementwise -- *)
 
 let bench_elementwise ~quick ~min_time =
   let n = if quick then 200_000 else 1_000_000 in
   let rng = S4o_tensor.Prng.create 44 in
-  let a = Dense.rand_normal rng [| n |] in
-  let b = Dense.rand_normal rng [| n |] in
-  let fused_t =
-    time_it ~min_time ~name:"elementwise-fused" (fun () -> Dense.add a b)
+  (* key, left shape, right shape: a same-shape add, and a conv bias add
+     whose right operand broadcasts over all but the channel axis *)
+  let cases =
+    [
+      ("elementwise_add", [| n |], [| n |]);
+      ("broadcast_bias_add", [| 32; 28; 28; 6 |], [| 6 |]);
+    ]
   in
-  let strided_t =
-    time_it ~min_time ~name:"elementwise-strided" (fun () ->
-        Dense.map2_strided ( +. ) a b)
+  let rows =
+    List.map
+      (fun (key, sa, sb) ->
+        let a = Dense.rand_normal rng sa in
+        let b = Dense.rand_normal rng sb in
+        let walker_t =
+          time_it ~min_time ~name:(key ^ "-walker") (fun () -> Dense.add a b)
+        in
+        let strided_t =
+          time_it ~min_time ~name:(key ^ "-strided") (fun () ->
+              Dense.map2_strided ( +. ) a b)
+        in
+        let elems = Dense.numel a in
+        let per t = t /. float_of_int elems *. 1e9 in
+        let speedup = strided_t /. walker_t in
+        let shape_str =
+          S4o_tensor.Shape.to_string sa ^ "+" ^ S4o_tensor.Shape.to_string sb
+        in
+        ( [
+            shape_str;
+            Printf.sprintf "%.2f" (per walker_t);
+            Printf.sprintf "%.2f" (per strided_t);
+            Printf.sprintf "%.2fx" speedup;
+          ],
+          {
+            key;
+            speedup;
+            row =
+              Json.Obj
+                [
+                  ("key", Json.Str key);
+                  ("shape", Json.Str shape_str);
+                  ("elements", Json.Num (float_of_int elems));
+                  ("walker_ns", Json.Num (per walker_t));
+                  ("strided_ns", Json.Num (per strided_t));
+                  ("speedup", Json.Num speedup);
+                ];
+          } ))
+      cases
   in
-  let per f = f /. float_of_int n *. 1e9 in
-  let speedup = strided_t /. fused_t in
   Report.table
     ~title:
-      "Kernels 3: elementwise add, fused flat loop vs generic broadcast \
-       walker"
-    ~headers:[ "elements"; "fused ns/elem"; "strided ns/elem"; "speedup" ]
-    ~rows:
-      [
-        [
-          string_of_int n;
-          Printf.sprintf "%.2f" (per fused_t);
-          Printf.sprintf "%.2f" (per strided_t);
-          Printf.sprintf "%.2fx" speedup;
-        ];
-      ];
-  [
-    {
-      key = "elementwise_add";
-      speedup;
-      row =
-        Json.Obj
-          [
-            ("elements", Json.Num (float_of_int n));
-            ("fused_ns", Json.Num (per fused_t));
-            ("strided_ns", Json.Num (per strided_t));
-            ("speedup", Json.Num speedup);
-          ];
-    };
-  ]
+      "Kernels 3: elementwise add, run-based walker vs per-element \
+       broadcast walker"
+    ~headers:[ "shapes"; "walker ns/elem"; "strided ns/elem"; "speedup" ]
+    ~rows:(List.map fst rows);
+  List.map snd rows
 
 (* ------------------------------------------------------------ scaling -- *)
 

@@ -68,7 +68,7 @@ let relu_grad (x : Shape.t) (g : Shape.t) =
     attrs = "";
     out_shape;
     info = Op_info.elementwise "relu_grad" ~inputs:[ x; g ] ~output:out_shape ();
-    kernel = arg2 (Dense.map2 (fun xv gv -> if xv > 0.0 then gv else 0.0));
+    kernel = arg2 Dense.relu_grad;
   }
 
 (** {1 Shape manipulation} *)

@@ -63,11 +63,18 @@ let geom ~stride ~padding ~ishape ~kh ~kw =
 let is_pointwise g =
   g.kh = 1 && g.kw = 1 && g.sh = 1 && g.sw = 1 && g.ph = 0 && g.pw = 0
 
+let imin (a : int) b = if a < b then a else b
+let imax (a : int) b = if a > b then a else b
+
 (* Materialize the [n*oh*ow; kh*kw*cin] patch matrix. Rows are disjoint, so
    the fill parallelizes over rows. The patch tensor starts uninitialized:
    every element is written exactly once — image data as contiguous span
    copies, out-of-image (padding) columns as explicit zero spans — which
-   saves a full pre-zeroing pass over the (large) patch matrix. *)
+   saves a full pre-zeroing pass over the (large) patch matrix. Consecutive
+   kx read consecutive input columns at any stride, so each in-image ky
+   row is one span copy of up to kw*cin elements between two zero fringes;
+   spans are short (5 elements for LeNet's first layer), so they are plain
+   indexed loops rather than Bigarray slices. *)
 let im2col ?domains g input =
   let { n; h; w; cin; kh; kw; oh; ow; sh; sw; ph; pw } = g in
   let rows = n * oh * ow in
@@ -77,7 +84,6 @@ let im2col ?domains g input =
         Dense.uninit [| rows; cols |])
   in
   let id = Dense.unsafe_data input and pd = Dense.unsafe_data patches in
-  let zero_span off len = if len > 0 then A.fill (A.sub pd off len) 0.0 in
   let fill lo hi =
     Sanitizer.note_write pd ~lo:(lo * cols) ~len:((hi - lo) * cols)
       ~who:"im2col patch rows";
@@ -88,37 +94,30 @@ let im2col ?domains g input =
       let oy = rest mod oh in
       let b = rest / oh in
       let rbase = r * cols in
+      (* in-image kernel columns: 0 <= ox*sw + kx - pw < w *)
+      let x0 = (ox * sw) - pw in
+      let kx0 = imin kw (imax 0 (-x0)) in
+      let kx1 = imax kx0 (imin kw (w - x0)) in
       for ky = 0 to kh - 1 do
         let iy = (oy * sh) + ky - ph in
         let kbase = rbase + (ky * kw * cin) in
-        if iy < 0 || iy >= h then zero_span kbase (kw * cin)
-        else if sw = 1 then begin
-          (* Column stride 1: the in-bounds kx range reads a contiguous
-             input span and writes a contiguous patch span, so the whole
-             ky-row is one memcpy of up to kw*cin elements plus zero
-             fringes for the padding columns. *)
-          let kx0 = min kw (max 0 (pw - ox)) in
-          let kx1 = max kx0 (min kw (w + pw - ox)) in
-          zero_span kbase (kx0 * cin);
-          if kx1 > kx0 then begin
-            let len = (kx1 - kx0) * cin in
-            let src = ((((b * h) + iy) * w) + (ox + kx0 - pw)) * cin in
-            A.blit (A.sub id src len) (A.sub pd (kbase + (kx0 * cin)) len)
-          end;
-          zero_span (kbase + (kx1 * cin)) ((kw - kx1) * cin)
-        end
-        else
-          for kx = 0 to kw - 1 do
-            let ix = (ox * sw) + kx - pw in
-            let dst = kbase + (kx * cin) in
-            if ix >= 0 && ix < w then begin
-              let src = ((((b * h) + iy) * w) + ix) * cin in
-              for c = 0 to cin - 1 do
-                A.unsafe_set pd (dst + c) (A.unsafe_get id (src + c))
-              done
-            end
-            else zero_span dst cin
+        if iy < 0 || iy >= h then
+          for j = kbase to kbase + (kw * cin) - 1 do
+            A.unsafe_set pd j 0.0
           done
+        else begin
+          let lo = kbase + (kx0 * cin) and hi = kbase + (kx1 * cin) in
+          for j = kbase to lo - 1 do
+            A.unsafe_set pd j 0.0
+          done;
+          let shift = ((((b * h) + iy) * w) + x0) * cin - kbase in
+          for j = lo to hi - 1 do
+            A.unsafe_set pd j (A.unsafe_get id (j + shift))
+          done;
+          for j = hi to kbase + (kw * cin) - 1 do
+            A.unsafe_set pd j 0.0
+          done
+        end
       done
     done
   in
@@ -143,9 +142,9 @@ let conv2d ?domains ?(stride = (1, 1)) ~padding input filter =
   let out = Dense.matmul ?domains patches filter_mat in
   Dense.with_shape out [| g.n; g.oh; g.ow; cout |]
 
-(* dL/dfilter = patches^T x grad: [cols; rows] x [rows; cout]. The explicit
-   transpose costs one pass but lets the blocked matmul kernel do the O(n^3)
-   part with good locality. *)
+(* dL/dfilter = patches^T x grad: [cols; rows] x [rows; cout]. The blocked
+   kernel reads patches^T through a column stride, so no transpose is
+   built. *)
 let conv2d_backward_filter ?domains ?(stride = (1, 1)) ~padding ~filter_shape
     input grad =
   check_rank4 "conv2d_backward_filter input" input;
@@ -160,7 +159,7 @@ let conv2d_backward_filter ?domains ?(stride = (1, 1)) ~padding ~filter_shape
     else im2col ?domains g input
   in
   let grad_mat = Dense.with_shape grad [| rows; cout |] in
-  let dfilter = Dense.matmul ?domains (Dense.transpose patches) grad_mat in
+  let dfilter = Dense.matmul_tn ?domains patches grad_mat in
   Dense.with_shape dfilter filter_shape
 
 (* dL/dinput: dpatches = grad x filter^T, then col2im scatter-adds each

@@ -5,7 +5,10 @@
     [\[n*oh*ow; kh*kw*cin\]] is materialized once (in parallel over patch
     rows) and the O(n^3) work runs through {!Dense.matmul}'s cache-blocked,
     {!Pool}-parallel kernel. 1x1 stride-1 unpadded convolutions skip the
-    patch copy entirely. Pooling parallelizes over the batch dimension.
+    patch copy entirely. The backward-filter pass multiplies by the
+    transposed patch matrix through {!Dense.matmul_tn}, which reads it with
+    a column stride instead of building the transpose. Pooling
+    parallelizes over the batch dimension.
     Small problems (under the matmul serial cutoff) stay on the calling
     domain, and all partitions are bit-deterministic per the {!Pool}
     contract. The original direct-loop kernels live on in {!Reference} as

@@ -198,23 +198,23 @@ let map f t =
   done;
   { shape = Array.copy t.shape; data = out }
 
-(* The generic broadcasting walker: maps each output index back through
-   stride-0 "stretched" dimensions with a carry-increment multi-index.
-   Correct for every shape pair; the specialized entry points below only
-   exist because this walk costs ~10x a flat loop per element. *)
+(* Strides of [s] aligned to the right of a rank-[r] iteration shape, 0 on
+   missing or size-1 (stretched) dimensions. *)
+let aligned_strides s r =
+  let rs = Array.length s in
+  let st = Shape.strides s in
+  Array.init r (fun i ->
+      let j = i - (r - rs) in
+      if j < 0 || s.(j) = 1 then 0 else st.(j))
+
+(* The per-element broadcasting walker: maps each output index back through
+   stride-0 "stretched" dimensions with a carry-increment multi-index and
+   calls [f] per element. Kept as the oracle and benchmark baseline for the
+   run-based kernels below, which it agrees with bit for bit. *)
 let map2_strided f a b =
   let out_shape = Shape.broadcast a.shape b.shape in
   let r = Shape.rank out_shape in
-  let aligned_strides s =
-    (* strides of [s] aligned to the right of [out_shape], 0 on stretched
-       or missing dimensions *)
-    let rs = Shape.rank s in
-    let st = Shape.strides s in
-    Array.init r (fun i ->
-        let j = i - (r - rs) in
-        if j < 0 || s.(j) = 1 then 0 else st.(j))
-  in
-  let sa = aligned_strides a.shape and sb = aligned_strides b.shape in
+  let sa = aligned_strides a.shape r and sb = aligned_strides b.shape r in
   let out = alloc (Shape.numel out_shape) in
   let da = a.data and db = b.data in
   let idx = Array.make r 0 in
@@ -237,172 +237,140 @@ let map2_strided f a b =
   done;
   { shape = out_shape; data = out }
 
-(* [b] broadcasts onto [a.shape] as a single constant *)
-let scalar_onto a b = numel b = 1 && Shape.rank b.shape <= Shape.rank a.shape
+(* {2 The strided walker}
+
+   [walk dims sa sb run] visits the shape [dims] in row-major order while
+   operands a and b step through their buffers by the per-dimension strides
+   [sa]/[sb] (0 on a stretched or missing dimension). It drops size-1
+   dimensions, merges adjacent ones both operands traverse contiguously,
+   and calls [run ao as bo bs o len] once per innermost run: positions
+   [o, o+len) read a at [ao + t*as] and b at [bo + t*bs]. A same-shape walk
+   is one run and a bias add ([n; c] + [c]) one run per row, so kernels
+   are monomorphic counted loops with no closure, allocation or compare
+   per element. *)
+let walk dims sa sb run =
+  let n = Shape.numel dims and r = Array.length dims in
+  (* merged dimensions, innermost first *)
+  let cd = Array.make (r + 1) 1 in
+  let ca = Array.make (r + 1) 0 and cb = Array.make (r + 1) 0 in
+  let k = ref 0 in
+  for i = r - 1 downto 0 do
+    let j = !k - 1 in
+    if dims.(i) = 1 then ()
+    else if j >= 0 && sa.(i) = ca.(j) * cd.(j) && sb.(i) = cb.(j) * cd.(j) then
+      cd.(j) <- cd.(j) * dims.(i)
+    else begin
+      cd.(!k) <- dims.(i);
+      ca.(!k) <- sa.(i);
+      cb.(!k) <- sb.(i);
+      incr k
+    end
+  done;
+  let idx = Array.make (!k + 1) 0 in
+  let ao = ref 0 and bo = ref 0 and o = ref 0 in
+  while !o < n do
+    run !ao ca.(0) !bo cb.(0) !o cd.(0);
+    o := !o + cd.(0);
+    (* advance the outer multi-index, carrying outward *)
+    let d = ref 1 in
+    while !d < !k do
+      let i = !d in
+      idx.(i) <- idx.(i) + 1;
+      ao := !ao + ca.(i);
+      bo := !bo + cb.(i);
+      if idx.(i) < cd.(i) then d := !k
+      else begin
+        idx.(i) <- 0;
+        ao := !ao - (ca.(i) * cd.(i));
+        bo := !bo - (cb.(i) * cd.(i));
+        incr d
+      end
+    done
+  done
+
+type kernel2 =
+  buffer -> int -> int -> buffer -> int -> int -> buffer -> int -> int -> unit
+
+(* NumPy-broadcasting binary op: [kernel da ao as db bo bs dc o len] fills
+   [dc.[o, o+len)] from one run of each operand. *)
+let broadcast2 a b (kernel : kernel2) =
+  let shape = Shape.broadcast a.shape b.shape in
+  let r = Shape.rank shape in
+  let da = a.data and db = b.data and dc = alloc (Shape.numel shape) in
+  walk shape (aligned_strides a.shape r) (aligned_strides b.shape r)
+    (fun ao as_ bo bs o len -> kernel da ao as_ db bo bs dc o len);
+  { shape; data = dc }
 
 let map2 f a b =
-  if Shape.equal a.shape b.shape then begin
-    let n = numel a in
-    let out = alloc n in
-    let da = a.data and db = b.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (f (A.unsafe_get da i) (A.unsafe_get db i))
-    done;
-    { shape = Array.copy a.shape; data = out }
-  end
-  else if scalar_onto a b then begin
-    let c = A.unsafe_get b.data 0 in
-    let n = numel a in
-    let out = alloc n in
-    let da = a.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (f (A.unsafe_get da i) c)
-    done;
-    { shape = Array.copy a.shape; data = out }
-  end
-  else if scalar_onto b a then begin
-    let c = A.unsafe_get a.data 0 in
-    let n = numel b in
-    let out = alloc n in
-    let db = b.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (f c (A.unsafe_get db i))
-    done;
-    { shape = Array.copy b.shape; data = out }
-  end
-  else map2_strided f a b
+  broadcast2 a b (fun da ao as_ db bo bs dc o len ->
+      let ia = ref ao and ib = ref bo in
+      for t = o to o + len - 1 do
+        A.unsafe_set dc t (f (A.unsafe_get da !ia) (A.unsafe_get db !ib));
+        ia := !ia + as_;
+        ib := !ib + bs
+      done)
 
-(* The four arithmetic ops are hand-monomorphized: without flambda the
+(* The arithmetic ops each get their own kernel: without flambda the
    closure passed to [map2] is an indirect call per element, which is most
-   of the cost of the op. Each gets the same three paths as [map2]. *)
+   of the cost of the op. *)
 
 let add a b =
-  if Shape.equal a.shape b.shape then begin
-    let n = numel a in
-    let out = alloc n in
-    let da = a.data and db = b.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (A.unsafe_get da i +. A.unsafe_get db i)
-    done;
-    { shape = Array.copy a.shape; data = out }
-  end
-  else if scalar_onto a b then begin
-    let c = A.unsafe_get b.data 0 in
-    let n = numel a in
-    let out = alloc n in
-    let da = a.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (A.unsafe_get da i +. c)
-    done;
-    { shape = Array.copy a.shape; data = out }
-  end
-  else if scalar_onto b a then begin
-    let c = A.unsafe_get a.data 0 in
-    let n = numel b in
-    let out = alloc n in
-    let db = b.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (c +. A.unsafe_get db i)
-    done;
-    { shape = Array.copy b.shape; data = out }
-  end
-  else map2_strided ( +. ) a b
+  broadcast2 a b (fun da ao as_ db bo bs dc o len ->
+      let ia = ref ao and ib = ref bo in
+      for t = o to o + len - 1 do
+        A.unsafe_set dc t (A.unsafe_get da !ia +. A.unsafe_get db !ib);
+        ia := !ia + as_;
+        ib := !ib + bs
+      done)
 
 let sub a b =
-  if Shape.equal a.shape b.shape then begin
-    let n = numel a in
-    let out = alloc n in
-    let da = a.data and db = b.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (A.unsafe_get da i -. A.unsafe_get db i)
-    done;
-    { shape = Array.copy a.shape; data = out }
-  end
-  else if scalar_onto a b then begin
-    let c = A.unsafe_get b.data 0 in
-    let n = numel a in
-    let out = alloc n in
-    let da = a.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (A.unsafe_get da i -. c)
-    done;
-    { shape = Array.copy a.shape; data = out }
-  end
-  else if scalar_onto b a then begin
-    let c = A.unsafe_get a.data 0 in
-    let n = numel b in
-    let out = alloc n in
-    let db = b.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (c -. A.unsafe_get db i)
-    done;
-    { shape = Array.copy b.shape; data = out }
-  end
-  else map2_strided ( -. ) a b
+  broadcast2 a b (fun da ao as_ db bo bs dc o len ->
+      let ia = ref ao and ib = ref bo in
+      for t = o to o + len - 1 do
+        A.unsafe_set dc t (A.unsafe_get da !ia -. A.unsafe_get db !ib);
+        ia := !ia + as_;
+        ib := !ib + bs
+      done)
 
 let mul a b =
-  if Shape.equal a.shape b.shape then begin
-    let n = numel a in
-    let out = alloc n in
-    let da = a.data and db = b.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (A.unsafe_get da i *. A.unsafe_get db i)
-    done;
-    { shape = Array.copy a.shape; data = out }
-  end
-  else if scalar_onto a b then begin
-    let c = A.unsafe_get b.data 0 in
-    let n = numel a in
-    let out = alloc n in
-    let da = a.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (A.unsafe_get da i *. c)
-    done;
-    { shape = Array.copy a.shape; data = out }
-  end
-  else if scalar_onto b a then begin
-    let c = A.unsafe_get a.data 0 in
-    let n = numel b in
-    let out = alloc n in
-    let db = b.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (c *. A.unsafe_get db i)
-    done;
-    { shape = Array.copy b.shape; data = out }
-  end
-  else map2_strided ( *. ) a b
+  broadcast2 a b (fun da ao as_ db bo bs dc o len ->
+      let ia = ref ao and ib = ref bo in
+      for t = o to o + len - 1 do
+        A.unsafe_set dc t (A.unsafe_get da !ia *. A.unsafe_get db !ib);
+        ia := !ia + as_;
+        ib := !ib + bs
+      done)
 
 let div a b =
-  if Shape.equal a.shape b.shape then begin
-    let n = numel a in
-    let out = alloc n in
-    let da = a.data and db = b.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (A.unsafe_get da i /. A.unsafe_get db i)
-    done;
-    { shape = Array.copy a.shape; data = out }
-  end
-  else if scalar_onto a b then begin
-    let c = A.unsafe_get b.data 0 in
-    let n = numel a in
-    let out = alloc n in
-    let da = a.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (A.unsafe_get da i /. c)
-    done;
-    { shape = Array.copy a.shape; data = out }
-  end
-  else if scalar_onto b a then begin
-    let c = A.unsafe_get a.data 0 in
-    let n = numel b in
-    let out = alloc n in
-    let db = b.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (c /. A.unsafe_get db i)
-    done;
-    { shape = Array.copy b.shape; data = out }
-  end
-  else map2_strided ( /. ) a b
+  broadcast2 a b (fun da ao as_ db bo bs dc o len ->
+      let ia = ref ao and ib = ref bo in
+      for t = o to o + len - 1 do
+        A.unsafe_set dc t (A.unsafe_get da !ia /. A.unsafe_get db !ib);
+        ia := !ia + as_;
+        ib := !ib + bs
+      done)
+
+let relu_grad x g =
+  broadcast2 x g (fun dx xo xs dg go gs dc o len ->
+      let ix = ref xo and ig = ref go in
+      for t = o to o + len - 1 do
+        A.unsafe_set dc t
+          (if A.unsafe_get dx !ix > 0.0 then A.unsafe_get dg !ig else 0.0);
+        ix := !ix + xs;
+        ig := !ig + gs
+      done)
+
+(* [gather t shape st]: a fresh [shape] tensor whose element at multi-index
+   [idx] is [t]'s element at flat offset [base + sum idx.(i) * st.(i)]. *)
+let gather ?(base = 0) t shape st =
+  let d = t.data and dc = alloc (Shape.numel shape) in
+  walk shape st st (fun ao as_ _ _ o len ->
+      let ia = ref (base + ao) in
+      for j = o to o + len - 1 do
+        A.unsafe_set dc j (A.unsafe_get d !ia);
+        ia := !ia + as_
+      done);
+  { shape; data = dc }
 
 let neg t =
   let n = numel t in
@@ -513,32 +481,38 @@ let min_value t =
   done;
   !acc
 
+(* The output is walked with stride 0 on every reduced axis while the input
+   is read in flat order, so each output element adds its inputs in
+   increasing flat order — the order the reference kernel uses. *)
 let sum_axes ?(keep_dims = false) t axes =
-  let out_shape_kept = Shape.reduce_axes ~keep_dims:true t.shape axes in
-  let out = zeros out_shape_kept in
-  let st_out = Shape.strides out_shape_kept in
-  let r = rank t in
-  let n = numel t in
+  let kept = Shape.reduce_axes ~keep_dims:true t.shape axes in
+  let out = zeros kept in
   let d = t.data and od = out.data in
-  let idx = Array.make r 0 in
-  for flat = 0 to n - 1 do
-    (* the output offset ignores reduced axes because their kept size is 1 *)
-    let off = ref 0 in
-    for i = 0 to r - 1 do
-      if out_shape_kept.(i) <> 1 then off := !off + (st_out.(i) * idx.(i))
-    done;
-    A.unsafe_set od !off (A.unsafe_get od !off +. A.unsafe_get d flat);
-    let k = ref (r - 1) in
-    let carrying = ref (flat < n - 1) in
-    while !carrying && !k >= 0 do
-      idx.(!k) <- idx.(!k) + 1;
-      if idx.(!k) = t.shape.(!k) then begin
-        idx.(!k) <- 0;
-        decr k
-      end
-      else carrying := false
-    done
-  done;
+  let leading =
+    List.sort Int.compare axes |> List.mapi ( = ) |> List.for_all Fun.id
+  in
+  if leading then begin
+    (* Reducing leading axes onto the suffix (a conv bias gradient,
+       [n; h; w; c] -> [c]) is a row-sum over flat rows of the suffix's
+       size: one tight loop instead of one walker run per short row. *)
+    let inner = numel out in
+    if inner > 0 then
+      for row = 0 to (numel t / inner) - 1 do
+        let base = row * inner in
+        for j = 0 to inner - 1 do
+          A.unsafe_set od j (A.unsafe_get od j +. A.unsafe_get d (base + j))
+        done
+      done
+  end
+  else
+    walk t.shape (Shape.strides t.shape) (aligned_strides kept (rank t))
+      (fun ao as_ bo bs _ len ->
+        let ia = ref ao and ib = ref bo in
+        for _ = 1 to len do
+          A.unsafe_set od !ib (A.unsafe_get od !ib +. A.unsafe_get d !ia);
+          ia := !ia + as_;
+          ib := !ib + bs
+        done);
   if keep_dims then out
   else { out with shape = Shape.reduce_axes ~keep_dims:false t.shape axes }
 
@@ -581,7 +555,7 @@ let broadcast_to t target =
   if not (Shape.equal out target) then
     fail "broadcast_to: %s does not broadcast to %s" (Shape.to_string t.shape)
       (Shape.to_string target);
-  map2 (fun x _ -> x) t (zeros target)
+  gather t out (aligned_strides t.shape (Shape.rank out))
 
 let unbroadcast t target =
   if Shape.equal t.shape target then t
@@ -603,10 +577,7 @@ let transpose t =
   if rank t <> 2 then
     fail "transpose: expected rank 2, got %s" (Shape.to_string t.shape);
   let m = t.shape.(0) and n = t.shape.(1) in
-  let d = t.data in
-  init_flat [| n; m |] (fun flat ->
-      let i = flat / m and j = flat mod m in
-      A.unsafe_get d ((j * n) + i))
+  gather t [| n; m |] [| 1; n |]
 
 let permute t perm =
   let r = rank t in
@@ -617,13 +588,10 @@ let permute t perm =
       if p < 0 || p >= r || seen.(p) then fail "permute: invalid permutation";
       seen.(p) <- true)
     perm;
-  let out_shape = Array.map (fun p -> t.shape.(p)) perm in
   let st = Shape.strides t.shape in
-  let d = t.data in
-  init out_shape (fun out_idx ->
-      let src = Array.make r 0 in
-      Array.iteri (fun i p -> src.(p) <- out_idx.(i)) perm;
-      A.unsafe_get d (Shape.offset st src))
+  gather t
+    (Array.map (fun p -> t.shape.(p)) perm)
+    (Array.map (fun p -> st.(p)) perm)
 
 let concat a b axis =
   let out_shape = Shape.concat_dim a.shape b.shape axis in
@@ -645,11 +613,7 @@ let slice t ~axis ~start ~len =
   let out_shape = Array.copy t.shape in
   out_shape.(axis) <- len;
   let st = Shape.strides t.shape in
-  let d = t.data in
-  init out_shape (fun idx ->
-      let idx' = Array.copy idx in
-      idx'.(axis) <- idx.(axis) + start;
-      A.unsafe_get d (Shape.offset st idx'))
+  gather ~base:(start * st.(axis)) t out_shape st
 
 let one_hot ~classes labels =
   let n = numel labels in
@@ -675,9 +639,14 @@ let serial_cutoff = 1 lsl 16
 let kc_block = 128
 let nc_block = 128
 
+let imin (a : int) b = if a < b then a else b
+
 (* Accumulate rows [lo, hi) of the product A[m,k] x B[k,n] into C.
    [ao]/[bo]/[co] are flat base offsets (batch_matmul reuses the kernel per
-   batch). C must be zeroed by the caller.
+   batch). A[i,p] is read at [ao + i*ars + p*acs]: a row-major A has
+   [ars = k, acs = 1]; the transpose of a row-major [k; m] matrix has
+   [ars = 1, acs = m], which is how {!matmul_tn} multiplies by a transpose
+   without building it. C must be zeroed by the caller.
 
    Determinism: for every output element the accumulation order is "kc
    blocks ascending, p ascending within the block" — a local accumulator
@@ -686,24 +655,25 @@ let nc_block = 128
    of [lo]/[hi], so any row partition (any domain count) produces
    bit-identical results. (B-panel packing below only rearranges where the
    same values are read from; it does not touch that order.) *)
-let matmul_rows ~n ~k (da : buffer) ao (db : buffer) bo (dc : buffer) co lo hi =
+let matmul_rows ~n ~k ~ars ~acs (da : buffer) ao (db : buffer) bo (dc : buffer)
+    co lo hi =
   (* Scratch for the packed B panel: full 4-column quads laid out so the
      micro-kernel reads 4 consecutive floats per p step (unit stride
      instead of a +n walk through B — each p then consumes half a cache
      line sequentially and the hardware prefetcher keeps up). Quad q of a
      panel lives at [q*kl*4 + (p-p0)*4 + t]. A plain float array keeps
      the reads unboxed. *)
-  let pack = Array.make (min kc_block k * min nc_block n) 0.0 in
+  let pack = Array.make (imin kc_block k * imin nc_block n) 0.0 in
   let pp = ref 0 in
   while !pp < k do
     let p0 = !pp in
-    let p1 = min k (p0 + kc_block) in
+    let p1 = imin k (p0 + kc_block) in
     let kl = p1 - p0 in
     let kl4 = kl * 4 in
     let jj = ref 0 in
     while !jj < n do
       let j0 = !jj in
-      let j1 = min n (j0 + nc_block) in
+      let j1 = imin n (j0 + nc_block) in
       let nquads = (j1 - j0) / 4 in
       (* pack: read B row-major (sequential), scatter into micro-panels *)
       for p = p0 to p1 - 1 do
@@ -720,7 +690,7 @@ let matmul_rows ~n ~k (da : buffer) ao (db : buffer) bo (dc : buffer) co lo hi =
       let i = ref lo in
       (* 2x4 register micro-kernel *)
       while !i + 1 < hi do
-        let ia = ao + (!i * k) and ib = ao + ((!i + 1) * k) in
+        let ia = ao + (!i * ars) and ib = ao + ((!i + 1) * ars) in
         let ca = co + (!i * n) and cb = co + ((!i + 1) * n) in
         let j = ref j0 in
         let q = ref 0 in
@@ -730,9 +700,9 @@ let matmul_rows ~n ~k (da : buffer) ao (db : buffer) bo (dc : buffer) co lo hi =
           let acc02 = ref 0.0 and acc03 = ref 0.0 in
           let acc10 = ref 0.0 and acc11 = ref 0.0 in
           let acc12 = ref 0.0 and acc13 = ref 0.0 in
-          (* strength-reduced cursors: +1 along the A rows, +4 through the
-             packed micro-panel *)
-          let ap = ref (ia + p0) and aq = ref (ib + p0) in
+          (* strength-reduced cursors: +acs along the A rows, +4 through
+             the packed micro-panel *)
+          let ap = ref (ia + (p0 * acs)) and aq = ref (ib + (p0 * acs)) in
           let bb = ref (!q * kl4) in
           for _p = p0 to p1 - 1 do
             let a0 = A.unsafe_get da !ap in
@@ -750,8 +720,8 @@ let matmul_rows ~n ~k (da : buffer) ao (db : buffer) bo (dc : buffer) co lo hi =
             acc11 := !acc11 +. (a1 *. b1);
             acc12 := !acc12 +. (a1 *. b2);
             acc13 := !acc13 +. (a1 *. b3);
-            incr ap;
-            incr aq;
+            ap := !ap + acs;
+            aq := !aq + acs;
             bb := bi + 4
           done;
           A.unsafe_set dc (ca + j') (A.unsafe_get dc (ca + j') +. !acc00);
@@ -771,8 +741,8 @@ let matmul_rows ~n ~k (da : buffer) ao (db : buffer) bo (dc : buffer) co lo hi =
           let acc0 = ref 0.0 and acc1 = ref 0.0 in
           for p = p0 to p1 - 1 do
             let b = A.unsafe_get db (bo + (p * n) + j') in
-            acc0 := !acc0 +. (A.unsafe_get da (ia + p) *. b);
-            acc1 := !acc1 +. (A.unsafe_get da (ib + p) *. b)
+            acc0 := !acc0 +. (A.unsafe_get da (ia + (p * acs)) *. b);
+            acc1 := !acc1 +. (A.unsafe_get da (ib + (p * acs)) *. b)
           done;
           A.unsafe_set dc (ca + j') (A.unsafe_get dc (ca + j') +. !acc0);
           A.unsafe_set dc (cb + j') (A.unsafe_get dc (cb + j') +. !acc1);
@@ -782,7 +752,7 @@ let matmul_rows ~n ~k (da : buffer) ao (db : buffer) bo (dc : buffer) co lo hi =
       done;
       (* row remainder *)
       if !i < hi then begin
-        let ia = ao + (!i * k) in
+        let ia = ao + (!i * ars) in
         let ca = co + (!i * n) in
         let j = ref j0 in
         let q = ref 0 in
@@ -790,7 +760,7 @@ let matmul_rows ~n ~k (da : buffer) ao (db : buffer) bo (dc : buffer) co lo hi =
           let j' = !j in
           let acc0 = ref 0.0 and acc1 = ref 0.0 in
           let acc2 = ref 0.0 and acc3 = ref 0.0 in
-          let ap = ref (ia + p0) in
+          let ap = ref (ia + (p0 * acs)) in
           let bb = ref (!q * kl4) in
           for _p = p0 to p1 - 1 do
             let a0 = A.unsafe_get da !ap in
@@ -799,7 +769,7 @@ let matmul_rows ~n ~k (da : buffer) ao (db : buffer) bo (dc : buffer) co lo hi =
             acc1 := !acc1 +. (a0 *. Array.unsafe_get pack (bi + 1));
             acc2 := !acc2 +. (a0 *. Array.unsafe_get pack (bi + 2));
             acc3 := !acc3 +. (a0 *. Array.unsafe_get pack (bi + 3));
-            incr ap;
+            ap := !ap + acs;
             bb := bi + 4
           done;
           A.unsafe_set dc (ca + j') (A.unsafe_get dc (ca + j') +. !acc0);
@@ -815,7 +785,8 @@ let matmul_rows ~n ~k (da : buffer) ao (db : buffer) bo (dc : buffer) co lo hi =
           for p = p0 to p1 - 1 do
             acc :=
               !acc
-              +. (A.unsafe_get da (ia + p) *. A.unsafe_get db (bo + (p * n) + j'))
+              +. A.unsafe_get da (ia + (p * acs))
+                 *. A.unsafe_get db (bo + (p * n) + j')
           done;
           A.unsafe_set dc (ca + j') (A.unsafe_get dc (ca + j') +. !acc);
           incr j
@@ -826,28 +797,45 @@ let matmul_rows ~n ~k (da : buffer) ao (db : buffer) bo (dc : buffer) co lo hi =
     pp := p1
   done
 
-let matmul ?domains a b =
-  if rank a <> 2 || rank b <> 2 then
-    fail "matmul: expected rank-2 operands, got %s and %s"
-      (Shape.to_string a.shape) (Shape.to_string b.shape);
-  let m = a.shape.(0) and k = a.shape.(1) in
-  let k' = b.shape.(0) and n = b.shape.(1) in
-  if k <> k' then fail "matmul: inner dimensions %d and %d differ" k k';
+(* C[m,n] = A x B, A read through [ars]/[acs] (see {!matmul_rows}). *)
+let gemm ?domains ~m ~k ~n ~ars ~acs da db =
   let out =
     S4o_obs.Memory.with_tag S4o_obs.Memory.global "matmul" (fun () ->
         zeros [| m; n |])
   in
-  let da = a.data and db = b.data and dc = out.data in
-  if m * n * k <= serial_cutoff then matmul_rows ~n ~k da 0 db 0 dc 0 0 m
+  let dc = out.data in
+  if m * n * k <= serial_cutoff then
+    matmul_rows ~n ~k ~ars ~acs da 0 db 0 dc 0 0 m
   else
     Pool.run ?domains ~n:m (fun lo hi ->
         Sanitizer.note_write dc ~lo:(lo * n) ~len:((hi - lo) * n)
           ~who:"matmul out rows";
-        Sanitizer.note_read da ~lo:(lo * k) ~len:((hi - lo) * k)
+        (* the span from A[lo,0] to A[hi-1,k-1] *)
+        Sanitizer.note_read da ~lo:(lo * ars)
+          ~len:(((hi - lo - 1) * ars) + ((k - 1) * acs) + 1)
           ~who:"matmul A rows";
         Sanitizer.note_read db ~lo:0 ~len:(k * n) ~who:"matmul B";
-        matmul_rows ~n ~k da 0 db 0 dc 0 lo hi);
+        matmul_rows ~n ~k ~ars ~acs da 0 db 0 dc 0 lo hi);
   out
+
+let check_rank2 ctx a b =
+  if rank a <> 2 || rank b <> 2 then
+    fail "%s: expected rank-2 operands, got %s and %s" ctx
+      (Shape.to_string a.shape) (Shape.to_string b.shape)
+
+let matmul ?domains a b =
+  check_rank2 "matmul" a b;
+  let m = a.shape.(0) and k = a.shape.(1) in
+  let k' = b.shape.(0) and n = b.shape.(1) in
+  if k <> k' then fail "matmul: inner dimensions %d and %d differ" k k';
+  gemm ?domains ~m ~k ~n ~ars:k ~acs:1 a.data b.data
+
+let matmul_tn ?domains a b =
+  check_rank2 "matmul_tn" a b;
+  let k = a.shape.(0) and m = a.shape.(1) in
+  let k' = b.shape.(0) and n = b.shape.(1) in
+  if k <> k' then fail "matmul_tn: leading dimensions %d and %d differ" k k';
+  gemm ?domains ~m ~k ~n ~ars:1 ~acs:m a.data b.data
 
 let dot a b =
   if rank a <> 1 || rank b <> 1 || numel a <> numel b then
@@ -948,9 +936,9 @@ let batch_matmul ?domains a b =
     while !r < hi do
       let batch = !r / m in
       let rlo = !r mod m in
-      let rhi = min m (rlo + (hi - !r)) in
-      matmul_rows ~n ~k da (batch * m * k) db (batch * k * n) dc (batch * m * n)
-        rlo rhi;
+      let rhi = imin m (rlo + (hi - !r)) in
+      matmul_rows ~n ~k ~ars:k ~acs:1 da (batch * m * k) db (batch * k * n) dc
+        (batch * m * n) rlo rhi;
       r := !r + (rhi - rlo)
     done
   in

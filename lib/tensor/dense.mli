@@ -10,9 +10,15 @@
     applied to values the caller uniquely owns (this is what the optimizer's
     in-place update path uses).
 
-    Elementwise binary operations specialize two fast paths — same-shape
-    (one flat fused loop) and scalar-vs-tensor — and fall back to the
-    generic strided broadcast walker ({!map2_strided}) otherwise.
+    Broadcasting binary operations, [broadcast_to], [transpose], [permute]
+    and [sum_axes] share one strided walker: it merges the dimensions both
+    operands traverse contiguously and hands each innermost run's base
+    offsets and strides (1, or 0 on a stretched dimension) to a
+    monomorphic loop, so a same-shape op is one flat loop and a bias add
+    one short loop per row. Apart from {!map}/{!map2} and the unary ops
+    built on {!map} ([exp], [log], [sqrt], [add_scalar], ...), which call
+    a closure per element, no kernel's inner loop calls a closure,
+    allocates, slices a Bigarray or uses polymorphic compare.
     [matmul]/[batch_matmul] are cache-blocked with a 2x4 register
     micro-kernel and partition output rows across the domain pool above a
     fixed work cutoff; the partition is contiguous, so results are
@@ -124,13 +130,13 @@ val add_at_inplace : t -> int array -> float -> unit
 
 val map : (float -> float) -> t -> t
 
-(** Broadcasting binary map (NumPy rules): same-shape and scalar fast
-    paths, {!map2_strided} otherwise. *)
+(** Broadcasting binary map (NumPy rules) over the strided walker; [f] is
+    still one indirect call per element — the named ops below are not. *)
 val map2 : (float -> float -> float) -> t -> t -> t
 
-(** The generic strided broadcast walker, with no fast paths. Semantically
-    identical to {!map2}; retained separately so benchmarks and tests can
-    measure/check the specialized loops against it. *)
+(** The per-element broadcast walker (multi-index carry, [f] called per
+    element). Semantically identical to {!map2}; retained as the oracle and
+    benchmark baseline for the run-based kernels. *)
 val map2_strided : (float -> float -> float) -> t -> t -> t
 
 val add : t -> t -> t
@@ -147,6 +153,10 @@ val sqrt : t -> t
 val abs : t -> t
 val sign : t -> t
 val relu : t -> t
+
+(** [relu_grad x g] is [g] where [x > 0], else [0] (broadcasting) — the
+    ReLU pullback, shared by every backend. *)
+val relu_grad : t -> t -> t
 val sigmoid : t -> t
 val tanh : t -> t
 val maximum : t -> t -> t
@@ -215,6 +225,12 @@ val one_hot : classes:int -> t -> t
     default width for this call (benchmarks use it to sweep scaling);
     results are bit-identical for every width. *)
 val matmul : ?domains:int -> t -> t -> t
+
+(** [matmul_tn a b] = [matmul (transpose a) b] for [a : \[k; m\]] and
+    [b : \[k; n\]], bit for bit, without materializing the transpose: the
+    kernel reads [a] through a column stride. Same blocking, partitioning
+    and determinism as {!matmul}. *)
+val matmul_tn : ?domains:int -> t -> t -> t
 
 (** 1-D dot product. *)
 val dot : t -> t -> float

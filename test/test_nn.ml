@@ -703,3 +703,40 @@ let mode_suite =
   ]
 
 let suite = suite @ mode_suite
+
+(* {1 Allocation}
+
+   Tensor kernels must not box floats, call a closure per element or slice
+   Bigarrays in their inner loops. A naive-backend LeNet-5 step on a batch
+   of 32 allocates a few thousand minor words when they don't; per-element
+   boxing in any one of the large broadcasting, im2col or transpose kernels
+   costs hundreds of thousands, and did cost 6.5 M words in total. *)
+
+let test_lenet_step_minor_words () =
+  let g = Prng.create 21 in
+  let model = M.lenet g in
+  let opt = O.sgd ~lr:0.05 model in
+  let images = Dense.rand_normal g [| 32; 28; 28; 1 |] in
+  let labels =
+    Dense.one_hot ~classes:10
+      (Dense.init_flat [| 32 |] (fun i -> float_of_int (i mod 10)))
+  in
+  (* warm-up: optimizer state and lazily built structures *)
+  ignore (T.step model opt ~images ~labels);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (T.step model opt ~images ~labels));
+  let words = Gc.minor_words () -. before in
+  Test_util.check_true
+    (Printf.sprintf "one step allocated %.0f minor words (limit 500k)" words)
+    (words < 500_000.0)
+
+let alloc_suite =
+  [
+    ( "nn.alloc",
+      [
+        Alcotest.test_case "LeNet step minor words" `Quick
+          test_lenet_step_minor_words;
+      ] );
+  ]
+
+let suite = suite @ alloc_suite

@@ -591,15 +591,20 @@ let qcheck_batch_matmul_matches_reference =
       D.allclose ~rtol:1e-9 ~atol:1e-12 (Reference.batch_matmul a b)
         (D.batch_matmul a b))
 
+(* Bit for bit: both kernels add each output's inputs in flat order. The
+   leading-axes cases ([0], [1; 0], []) take the row-sum path, the others
+   the strided walker. *)
 let qcheck_sum_axes_matches_reference =
   Test_util.qtest ~count:60 "sum_axes matches naive reference"
     QCheck.(pair (triple (int_range 1 5) (int_range 1 5) (int_range 1 5))
-              (pair bool (int_range 0 2)))
+              (pair bool (int_range 0 5)))
     (fun ((d0, d1, d2), (keep_dims, which)) ->
       let g = Prng.create ((d0 * 997) + (d1 * 31) + d2 + Bool.to_int keep_dims) in
       let t = D.rand_normal g [| d0; d1; d2 |] in
-      let axes = List.nth [ [ 0 ]; [ 1; 2 ]; [ 0; 2 ] ] which in
-      D.allclose ~rtol:1e-9 ~atol:1e-12
+      let axes =
+        List.nth [ [ 0 ]; [ 1; 2 ]; [ 0; 2 ]; [ 1; 0 ]; [ 2 ]; [] ] which
+      in
+      D.equal
         (Reference.sum_axes ~keep_dims t axes)
         (D.sum_axes ~keep_dims t axes))
 
@@ -763,12 +768,160 @@ let qcheck_map2_fast_paths_match_strided =
       let a = D.rand_normal g [| n; 3 |] in
       let b =
         match kind with
-        | 0 -> D.rand_normal g [| n; 3 |] (* same shape: fused loop *)
-        | 1 -> D.scalar 2.5 (* scalar broadcast fast path *)
-        | _ -> D.rand_normal g [| 1; 3 |] (* generic strided *)
+        | 0 -> D.rand_normal g [| n; 3 |] (* same shape: one run *)
+        | 1 -> D.scalar 2.5 (* scalar: a stride-0 run *)
+        | _ -> D.rand_normal g [| 1; 3 |] (* stretched rows: a run per row *)
       in
       D.equal (D.map2 ( +. ) a b) (D.map2_strided ( +. ) a b)
       && D.equal (D.add a b) (D.map2_strided ( +. ) a b))
+
+(* {1 The run-based walker and the transpose-free kernels}
+
+   Each of these must agree bit for bit ([D.equal]) with the retained
+   per-element walker or an index-formula oracle. *)
+
+(* A random output shape (rank 0-4) and two operand shapes that broadcast
+   onto it: each drops some leading dimensions and stretches some others
+   to 1, so pairs cover missing leading dims, size-1 stretches in the
+   middle and scalars. *)
+let broadcast_pair_gen =
+  QCheck.Gen.(
+    int_range 0 4 >>= fun r ->
+    array_size (return r) (int_range 1 4) >>= fun out ->
+    let operand =
+      int_range 0 r >>= fun drop ->
+      array_size (return (r - drop)) bool >>= fun stretch ->
+      return (Array.mapi (fun i s -> if s then 1 else out.(drop + i)) stretch)
+    in
+    pair operand operand >>= fun (a, b) ->
+    int_bound 1_000_000 >>= fun seed -> return (a, b, seed))
+
+let broadcast_pair_arb =
+  QCheck.make
+    ~print:(fun (a, b, _) -> Shape.to_string a ^ " with " ^ Shape.to_string b)
+    broadcast_pair_gen
+
+let qcheck_walker_ops_match_strided =
+  Test_util.qtest ~count:300 "walker ops match the per-element walker"
+    broadcast_pair_arb
+    (fun (sa, sb, seed) ->
+      let g = Prng.create seed in
+      let a = D.rand_normal g sa and b = D.rand_normal g sb in
+      let out = Shape.broadcast sa sb in
+      D.equal (D.add a b) (D.map2_strided ( +. ) a b)
+      && D.equal (D.sub a b) (D.map2_strided ( -. ) a b)
+      && D.equal (D.mul a b) (D.map2_strided ( *. ) a b)
+      && D.equal (D.div a b) (D.map2_strided ( /. ) a b)
+      && D.equal (D.map2 Float.max a b) (D.map2_strided Float.max a b)
+      && D.equal (D.relu_grad a b)
+           (D.map2_strided (fun x g -> if x > 0.0 then g else 0.0) a b)
+      && D.equal (D.broadcast_to a out)
+           (D.map2_strided (fun x _ -> x) a (D.zeros out)))
+
+(* A random tensor of rank 1-4 and a random permutation of its axes. *)
+let permute_arb =
+  QCheck.make
+    ~print:(fun (s, p, _) ->
+      Shape.to_string s ^ " by "
+      ^ String.concat "," (Array.to_list (Array.map string_of_int p)))
+    QCheck.Gen.(
+      int_range 1 4 >>= fun r ->
+      array_size (return r) (int_range 1 5) >>= fun s ->
+      shuffle_l (List.init r Fun.id) >>= fun p ->
+      int_bound 1_000_000 >>= fun seed -> return (s, Array.of_list p, seed))
+
+let qcheck_permute_matches_index_formula =
+  Test_util.qtest ~count:200 "permute and transpose match the index formula"
+    permute_arb
+    (fun (s, perm, seed) ->
+      let t = D.rand_normal (Prng.create seed) s in
+      let r = Array.length s in
+      let oracle =
+        D.init
+          (Array.map (fun p -> s.(p)) perm)
+          (fun idx ->
+            let src = Array.make r 0 in
+            Array.iteri (fun i p -> src.(p) <- idx.(i)) perm;
+            D.get t src)
+      in
+      let m = Shape.numel s / s.(0) in
+      let t2 = D.reshape t [| s.(0); m |] in
+      D.equal (D.permute t perm) oracle
+      && D.equal (D.transpose t2)
+           (D.init [| m; s.(0) |] (fun idx -> D.get t2 [| idx.(1); idx.(0) |])))
+
+let with_sanitizer f =
+  let was = Sanitizer.armed () in
+  Sanitizer.set_armed true;
+  Fun.protect ~finally:(fun () -> Sanitizer.set_armed was) f
+
+(* [k] spans the 128-row kc blocks; [m * n * k] crosses the serial cutoff
+   for the larger cases, so width 2 really partitions the rows. *)
+let qcheck_matmul_tn_matches_transpose =
+  Test_util.qtest ~count:40 "transpose-free backward filter matches matmul of the transpose"
+    QCheck.(triple (int_range 1 30) (int_range 1 300) (int_range 1 9))
+    (fun (m, k, n) ->
+      let g = Prng.create ((m * 7919) + (k * 31) + n) in
+      let p = D.rand_normal g [| k; m |] and gr = D.rand_normal g [| k; n |] in
+      let expected = D.matmul ~domains:1 (D.transpose p) gr in
+      with_sanitizer (fun () ->
+          List.for_all
+            (fun d -> D.equal expected (D.matmul_tn ~domains:d p gr))
+            [ 1; 2 ]))
+
+let test_conv_backward_filter_widths () =
+  (* LeNet's first layer at batch 8: big enough to partition at width 2. *)
+  let g = Prng.create 12 in
+  let input = D.rand_normal g [| 8; 28; 28; 1 |] in
+  let grad = D.rand_normal g [| 8; 28; 28; 6 |] in
+  let filter_shape = [| 5; 5; 1; 6 |] in
+  let bwd d =
+    Convolution.conv2d_backward_filter ~domains:d ~padding:Convolution.Same
+      ~filter_shape input grad
+  in
+  with_sanitizer (fun () ->
+      let serial = bwd 1 in
+      Test_util.check_true "width 2 bit-identical to width 1" (D.equal serial (bwd 2));
+      Test_util.check_true "matches the naive reference"
+        (D.allclose ~rtol:1e-9 ~atol:1e-12 serial
+           (Reference.conv2d_backward_filter ~padding:Convolution.Same
+              ~filter_shape input grad)))
+
+(* Every combination of cin in {1, 3}, stride in {1, 2} and Same/Valid on
+   random small geometries, forward and both backward passes. *)
+let qcheck_conv_cin_stride_padding =
+  Test_util.qtest ~count:20 "conv2d cin/stride/padding grid matches naive reference"
+    QCheck.(quad (int_range 1 2) (int_range 5 9) (int_range 1 3) (int_range 1 5))
+    (fun (n, hw, cout, k) ->
+      List.for_all
+        (fun (cin, s, padding) ->
+          let g = Prng.create ((n * 7919) + (hw * 997) + (cout * 31) + k + cin + s) in
+          let input = D.rand_normal g [| n; hw; hw + 1; cin |] in
+          let filter = D.rand_normal g [| k; k; cin; cout |] in
+          let stride = (s, s) in
+          let close = D.allclose ~rtol:1e-9 ~atol:1e-12 in
+          let out = Convolution.conv2d ~stride ~padding input filter in
+          close (Reference.conv2d ~stride ~padding input filter) out
+          && (D.numel out = 0
+             ||
+             let grad = D.rand_normal g (D.shape out) in
+             let input_shape = D.shape input and filter_shape = D.shape filter in
+             close
+               (Reference.conv2d_backward_input ~stride ~padding ~input_shape
+                  filter grad)
+               (Convolution.conv2d_backward_input ~stride ~padding ~input_shape
+                  filter grad)
+             && close
+                  (Reference.conv2d_backward_filter ~stride ~padding
+                     ~filter_shape input grad)
+                  (Convolution.conv2d_backward_filter ~stride ~padding
+                     ~filter_shape input grad)))
+        [
+          (1, 1, Convolution.Same); (1, 1, Convolution.Valid);
+          (1, 2, Convolution.Same); (1, 2, Convolution.Valid);
+          (3, 1, Convolution.Same); (3, 1, Convolution.Valid);
+          (3, 2, Convolution.Same); (3, 2, Convolution.Valid);
+        ])
 
 (* {1 Pool} *)
 
@@ -833,6 +986,11 @@ let kernel_suite =
           test_parallel_batch_matmul_bit_identical;
         tc "parallel conv2d bit-identical" `Quick test_parallel_conv2d_bit_identical;
         qcheck_map2_fast_paths_match_strided;
+        qcheck_walker_ops_match_strided;
+        qcheck_permute_matches_index_formula;
+        qcheck_matmul_tn_matches_transpose;
+        tc "conv backward filter across widths" `Quick test_conv_backward_filter_widths;
+        qcheck_conv_cin_stride_padding;
       ] );
     ( "tensor.buffers",
       [
