@@ -188,11 +188,16 @@ let capture_model model_name batch =
     let rt = rt
   end) in
   let module M = S4o_nn.Models.Make (Bk) in
+  let module A = S4o_nn.Attention.Make (Bk) in
   let rng = S4o_tensor.Prng.create 1 in
   let model, input_shape =
     match model_name with
     | "lenet" -> (M.lenet rng, [| batch; 28; 28; 1 |])
     | "mlp" -> (M.mlp rng ~inputs:2 ~hidden:32 ~outputs:2, [| batch; 2 |])
+    | "transformer" ->
+        ( A.tiny_transformer rng ~seq_len:8 ~d_model:12 ~d_ff:24 ~blocks:2
+            ~classes:4,
+          [| batch; 8; 1; 12 |] )
     | other -> Printf.ksprintf failwith "unknown model %s" other
   in
   let input = Bk.placeholder input_shape in
@@ -295,7 +300,9 @@ let run_analyze model_name batch sweep pending_limit json_out dot_out
 
 let analyze_cmd =
   let model =
-    Arg.(value & opt string "lenet" & info [ "model" ] ~doc:"lenet|mlp")
+    Arg.(
+      value & opt string "lenet"
+      & info [ "model" ] ~doc:"lenet|mlp|transformer")
   in
   let batch = Arg.(value & opt int 1 & info [ "batch" ]) in
   let sweep =

@@ -1,11 +1,10 @@
 (** HLO graph checker and linter: re-derives every compute node's output
-    shape from its inputs and attributes (the same rules as
-    {!S4o_ops.Catalog}) and reports disagreements as errors; lints dead
-    nodes, duplicate literals, oversized pending regions, and — across
-    cuts, via {!Hazard} — recompile hazards. Checked mode runs {!run} on
+    shape from its inputs and typed op with the catalog's own rule
+    ({!S4o_ops.Catalog.out_shape}) and reports disagreements as errors;
+    lints dead nodes, duplicate literals, oversized pending regions, and —
+    across cuts, via {!Hazard} — recompile hazards. Checked mode runs {!run} on
     every trace cut and after every compiler pass. *)
 
-open S4o_tensor
 open S4o_xla
 
 type severity = Error | Warning
@@ -14,8 +13,7 @@ type finding = {
   severity : severity;
   rule : string;  (** Stable rule id: ["shape"], ["arity"], ["role"],
                       ["param"], ["dead-node"], ["dup-literal"],
-                      ["pending-region"], ["recompile-hazard"],
-                      ["unknown-op"]. *)
+                      ["pending-region"], ["recompile-hazard"]. *)
   node : int option;
   message : string;
 }
@@ -26,13 +24,10 @@ val errors : finding list -> finding list
 val warnings : finding list -> finding list
 val pp_finding : Format.formatter -> finding -> unit
 
-(** [expected_shape op inputs attrs]: the output shape the catalog would
-    compute — [Ok None] when the op has no closed-form rule (or is
-    unknown), [Error _] when inputs/attrs are malformed for the op. *)
-val expected_shape :
-  string -> Shape.t list -> string -> (Shape.t option, string) result
-
-(** Arity, role, and shape findings for one node. *)
+(** Arity, role, and shape findings for one node: an [arity] error when a
+    compute node has the wrong operand count for its op, a [shape] error
+    when {!S4o_ops.Catalog.out_shape} rejects the operands or gives a shape
+    other than the declared one. *)
 val check_node : Hlo.node -> finding list
 
 (** Advisory lints only: dead nodes, duplicate literals, and (when

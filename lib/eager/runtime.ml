@@ -25,14 +25,16 @@ let dispatch t (op : S4o_ops.Catalog.op) args =
   let start = Engine.host_time t.engine in
   Engine.spend_host t.engine t.dispatch_overhead;
   ignore (Engine.dispatch t.engine op.info);
+  let attrs = S4o_ops.Catalog.attrs op.prim in
   Recorder.span (Engine.recorder t.engine) Recorder.Host ~cat:"dispatch"
     ~args:
       (("flops", string_of_int op.info.S4o_device.Op_info.flops)
-      :: (if op.attrs = "" then [] else [ ("attrs", op.attrs) ]))
-    op.name ~start
+      :: (if attrs = "" then [] else [ ("attrs", attrs) ]))
+    (S4o_ops.Catalog.name op.prim)
+    ~start
     ~finish:(Engine.host_time t.engine);
   Metrics.incr t.ops;
-  op.kernel args
+  S4o_ops.Catalog.apply op.prim args
 
 let sync t = Engine.sync t.engine
 

@@ -25,12 +25,17 @@ type stats = S4o_obs.Stats.t = {
   tensor_frees : int;
 }
 
+(* The program cache is keyed on the traced graph itself, in its canonical
+   form: a hit needs the fingerprint to match and the graphs to be equal, so
+   it runs exactly the program that was traced. *)
+module Cache = Hashtbl.Make (S4o_xla.Hlo.Key)
+
 type t = {
   engine : Engine.t;
   trace_overhead_per_op : float;
   cache_enabled : bool;
   auto_cut_threshold : int option;
-  cache : (int, S4o_xla.Compiler.executable) Hashtbl.t;
+  cache : S4o_xla.Compiler.executable Cache.t;
   (* All counters live in the engine's shared metrics registry, so one
      snapshot of the registry sees the whole stack. *)
   c_cuts : Metrics.counter;
@@ -60,7 +65,7 @@ let create ?(trace_overhead_per_op = default_trace_overhead)
     trace_overhead_per_op;
     cache_enabled;
     auto_cut_threshold;
-    cache = Hashtbl.create 16;
+    cache = Cache.create 16;
     c_cuts = Metrics.counter m "lazy.traces_cut";
     c_auto_cuts = Metrics.counter m "lazy.auto_cuts";
     c_hits = Metrics.counter m "lazy.cache_hits";
@@ -121,11 +126,10 @@ let materialize t roots =
       (fun () ->
         Engine.spend_host t.engine
           (t.trace_overhead_per_op *. float_of_int n_ops));
-    let fp = S4o_xla.Hlo.fingerprint graph in
+    let key = S4o_xla.Hlo.Key.of_graph graph in
+    let fp = S4o_xla.Hlo.Key.hash key in
     let exe =
-      match
-        if t.cache_enabled then Hashtbl.find_opt t.cache fp else None
-      with
+      match if t.cache_enabled then Cache.find_opt t.cache key else None with
       | Some exe ->
           Metrics.incr t.c_hits;
           Recorder.instant rec_ Recorder.Host ~cat:"lazy"
@@ -142,7 +146,7 @@ let materialize t roots =
           let exe = S4o_xla.Compiler.compile ~engine:t.engine graph in
           Metrics.observe t.compile_times
             (S4o_xla.Compiler.stats exe).S4o_xla.Compiler.compile_seconds;
-          if t.cache_enabled then Hashtbl.replace t.cache fp exe;
+          if t.cache_enabled then Cache.replace t.cache key exe;
           exe
     in
     let feeds =
@@ -197,7 +201,7 @@ let note_recorded t node =
         materialize t t.recent
       end
 
-let cache_size t = Hashtbl.length t.cache
+let cache_size t = Cache.length t.cache
 
 let force t node =
   materialize t [ node ];

@@ -1,6 +1,9 @@
 (** The LazyTensor runtime (§3.3–3.4): cuts traces, JIT-compiles them via the
-    XLA-style compiler, and caches compiled programs by trace fingerprint so
-    that "each unique trace is only compiled by XLA once". Tracing overhead
+    XLA-style compiler, and caches compiled programs keyed on the traced
+    graph so that "each unique trace is only compiled by XLA once". A hit
+    requires the re-traced graph to be structurally equal to the cached one
+    ({!S4o_xla.Hlo.Key.equal}), not only to share its fingerprint, so it runs
+    exactly the program that was traced. Tracing overhead
     is still paid on every iteration — the §3.4 limitation Table 3
     quantifies — because the full imperative programming model means traces
     can change at any point.
@@ -86,7 +89,7 @@ val barrier : t -> Trace.node list -> unit
 val note_recorded : t -> Trace.node -> unit
 
 (** Number of distinct compiled programs currently cached — one per unique
-    trace fingerprint. A serving workload that buckets its batch shapes
+    traced graph. A serving workload that buckets its batch shapes
     keeps this bounded by the bucket count (times distinct models), which is
     the point of shape bucketing: steady-state traffic hits the cache
     instead of growing it. *)

@@ -16,6 +16,7 @@ type tag_cell = {
 
 type t = {
   mutex : Mutex.t;
+  owner : int Atomic.t;  (* id of the domain holding [mutex], or -1 *)
   mutable enabled : bool;
   mutable gen : int;
   mutable live : int;
@@ -32,6 +33,7 @@ let default_tag = "tensor"
 let create ?(enabled = true) () =
   {
     mutex = Mutex.create ();
+    owner = Atomic.make (-1);
     enabled;
     gen = 0;
     live = 0;
@@ -52,9 +54,24 @@ let set_enabled t on = t.enabled <- on
 let generation t = t.gen
 let current_tag t = t.tag
 
+(* A GC finaliser credits its buffer's free ([free_gen]) at whatever
+   allocation or poll point the GC runs it, which can be inside another
+   [locked] section on the same domain. That nested call must not wait for
+   the lock its own domain holds (OCaml's mutex raises [Sys_error] there).
+   Each counter update is one read-modify-write with no poll point inside
+   it, so the nested update cannot be lost. *)
 let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+  let self = (Domain.self () :> int) in
+  if Atomic.get t.owner = self then f ()
+  else begin
+    Mutex.lock t.mutex;
+    Atomic.set t.owner self;
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set t.owner (-1);
+        Mutex.unlock t.mutex)
+      f
+  end
 
 let cell t tag =
   match Hashtbl.find_opt t.by_tag tag with

@@ -1,28 +1,24 @@
 (** An HLO-like graph intermediate representation — the target of LazyTensor
     tracing (§3.3) and the input of the domain-specific compiler.
 
-    Nodes are immutable, hash-consed-by-construction DAG vertices. Each node
-    carries: the semantic operation name and attribute string (used for CSE
-    and for trace fingerprinting), the output shape, cost metadata
-    ({!S4o_device.Op_info.t}), and a kernel closure giving the operation's
-    semantics on {!S4o_tensor.Dense} values. Parameters are fed at execution
-    time; literals are embedded constants. *)
+    Nodes are immutable DAG vertices. A compute node carries its typed
+    catalog operation (used for CSE, for trace identity and by the checker),
+    its output shape and its cost metadata ({!S4o_device.Op_info.t}).
+    Parameters are fed at execution time; literals are embedded constants. *)
 
 open S4o_tensor
+module Catalog = S4o_ops.Catalog
 
 type node = {
   id : int;
-  op_name : string;
-  attrs : string;  (** Semantics-affecting parameters, e.g. stride/padding. *)
   shape : Shape.t;
   info : S4o_device.Op_info.t;
   inputs : node list;
-  kernel : Dense.t array -> Dense.t;
   role : role;
 }
 
 and role =
-  | Compute
+  | Compute of Catalog.prim
   | Param of int  (** Fed at execution; the int is the parameter position. *)
   | Literal of Dense.t
 
@@ -32,46 +28,62 @@ let next_id () =
   incr counter;
   !counter
 
+let leaf_info name ~bytes_out =
+  {
+    S4o_device.Op_info.name;
+    kind = S4o_device.Op_info.Data_movement;
+    flops = 0;
+    bytes_in = 0;
+    bytes_out;
+  }
+
 let param ~index ~shape =
   {
     id = next_id ();
-    op_name = "parameter";
-    attrs = string_of_int index;
     shape;
-    info =
-      {
-        S4o_device.Op_info.name = "parameter";
-        kind = S4o_device.Op_info.Data_movement;
-        flops = 0;
-        bytes_in = 0;
-        bytes_out = 0;
-      };
+    info = leaf_info "parameter" ~bytes_out:0;
     inputs = [];
-    kernel = (fun _ -> invalid_arg "parameter node has no kernel");
     role = Param index;
   }
 
 let literal value =
+  let shape = Dense.shape value in
   {
     id = next_id ();
-    op_name = "constant";
-    attrs = "";
-    shape = Dense.shape value;
+    shape;
     info =
-      {
-        S4o_device.Op_info.name = "constant";
-        kind = S4o_device.Op_info.Data_movement;
-        flops = 0;
-        bytes_in = 0;
-        bytes_out = S4o_device.Op_info.bytes_of_shape (Dense.shape value);
-      };
+      leaf_info "constant"
+        ~bytes_out:(S4o_device.Op_info.bytes_of_shape shape);
     inputs = [];
-    kernel = (fun _ -> value);
     role = Literal value;
   }
 
-let op ~name ?(attrs = "") ~shape ~info ~inputs ~kernel () =
-  { id = next_id (); op_name = name; attrs; shape; info; inputs; kernel; role = Compute }
+let op (o : Catalog.op) inputs =
+  {
+    id = next_id ();
+    shape = o.out_shape;
+    info = o.info;
+    inputs;
+    role = Compute o.prim;
+  }
+
+let name n =
+  match n.role with
+  | Compute p -> Catalog.name p
+  | Param _ -> "parameter"
+  | Literal _ -> "constant"
+
+let role_equal a b =
+  match (a, b) with
+  | Compute p, Compute q -> Catalog.equal p q
+  | Param i, Param j -> i = j
+  | Literal u, Literal v -> Dense.equal u v
+  | (Compute _ | Param _ | Literal _), _ -> false
+
+let role_hash = function
+  | Compute p -> Catalog.hash p
+  | Param i -> i + 17
+  | Literal v -> Dense.hash_contents v
 
 (** {1 Graphs} *)
 
@@ -95,40 +107,80 @@ let size g = List.length g.nodes
 
 let params g =
   List.filter_map
-    (fun n -> match n.role with Param i -> Some (i, n) | Compute | Literal _ -> None)
+    (fun n ->
+      match n.role with Param i -> Some (i, n) | Compute _ | Literal _ -> None)
     g.nodes
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> List.map snd
 
-(** Structural fingerprint: identical traces (same ops, attributes, shapes,
-    topology) produce the same fingerprint regardless of node identity —
-    the key of the XLA-program cache (§3.4). *)
-let fingerprint g =
-  let renumber = Hashtbl.create 64 in
-  List.iteri (fun i n -> Hashtbl.add renumber n.id i) g.nodes;
-  let h = ref 0 in
-  let mix v = h := (!h * 1000003) lxor v in
-  List.iter
-    (fun n ->
-      mix (Hashtbl.hash n.op_name);
-      mix (Hashtbl.hash n.attrs);
-      mix (Shape.hash n.shape);
-      (match n.role with
-      | Param i -> mix (i + 17)
-      | Literal v -> mix (Dense.hash_contents v)
-      | Compute -> mix 3);
-      List.iter (fun i -> mix (Hashtbl.find renumber i.id)) n.inputs)
-    g.nodes;
-  mix (List.length g.outputs);
-  List.iter (fun o -> mix (Hashtbl.find renumber o.id)) g.outputs;
-  !h
+(** {1 Identity} *)
+
+module Key = struct
+  type t = {
+    roles : role array;
+    shapes : Shape.t array;
+    edges : int array;
+        (** For each node in order, its input count and its inputs'
+            positions; then the output count and the outputs' positions. *)
+    hash : int;
+  }
+
+  let of_graph g =
+    let nodes = Array.of_list g.nodes in
+    let position = Hashtbl.create (2 * Array.length nodes) in
+    Array.iteri (fun i (n : node) -> Hashtbl.add position n.id i) nodes;
+    let size =
+      Array.fold_left
+        (fun acc (n : node) -> acc + 1 + List.length n.inputs)
+        (1 + List.length g.outputs) nodes
+    in
+    let edges = Array.make size 0 in
+    let next = ref 0 in
+    let push v =
+      edges.(!next) <- v;
+      incr next
+    in
+    let push_list l =
+      push (List.length l);
+      List.iter (fun (n : node) -> push (Hashtbl.find position n.id)) l
+    in
+    Array.iter (fun (n : node) -> push_list n.inputs) nodes;
+    push_list g.outputs;
+    let roles = Array.map (fun (n : node) -> n.role) nodes in
+    let shapes = Array.map (fun (n : node) -> n.shape) nodes in
+    let h = ref 0 in
+    let mix v = h := (!h * 1000003) lxor v in
+    Array.iter (fun r -> mix (role_hash r)) roles;
+    Array.iter (fun s -> mix (Shape.hash s)) shapes;
+    Array.iter mix edges;
+    { roles; shapes; edges; hash = !h }
+
+  let equal a b =
+    a.hash = b.hash
+    && Array.length a.roles = Array.length b.roles
+    && Array.length a.edges = Array.length b.edges
+    && Array.for_all2 Int.equal a.edges b.edges
+    && Array.for_all2 Shape.equal a.shapes b.shapes
+    && Array.for_all2 role_equal a.roles b.roles
+
+  let hash k = k.hash
+end
+
+let fingerprint g = Key.hash (Key.of_graph g)
+let equal a b = Key.equal (Key.of_graph a) (Key.of_graph b)
 
 (** {1 Rendering (Figure 4)} *)
 
 let pp_node ppf n =
   let ins = String.concat ", " (List.map (fun i -> Format.sprintf "%%%d" i.id) n.inputs) in
-  let attrs = if n.attrs = "" then "" else Format.sprintf " {%s}" n.attrs in
-  Format.fprintf ppf "%%%d = %s%s(%s) : %s" n.id n.op_name attrs ins
+  let attrs =
+    match n.role with
+    | Compute p when Catalog.attrs p <> "" ->
+        Format.sprintf " {%s}" (Catalog.attrs p)
+    | Param i -> Format.sprintf " {%d}" i
+    | Compute _ | Literal _ -> ""
+  in
+  Format.fprintf ppf "%%%d = %s%s(%s) : %s" n.id (name n) attrs ins
     (Shape.to_string n.shape)
 
 let pp_graph ppf g =
@@ -140,16 +192,16 @@ let pp_graph ppf g =
 let to_string g = Format.asprintf "%a" pp_graph g
 
 (** GraphViz rendering of the trace DAG, as in Figure 4. *)
-let to_dot ?(name = "trace") g =
+let to_dot ?name:(graph_name = "trace") g =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Format.sprintf "digraph %s {\n  rankdir=TB;\n" name);
+  Buffer.add_string buf (Format.sprintf "digraph %s {\n  rankdir=TB;\n" graph_name);
   List.iter
     (fun n ->
       let color =
         match n.role with
         | Param _ -> "lightblue"
         | Literal _ -> "lightgray"
-        | Compute -> (
+        | Compute _ -> (
             match n.info.S4o_device.Op_info.kind with
             | S4o_device.Op_info.Contraction -> "lightsalmon"
             | _ -> "white")
@@ -157,7 +209,7 @@ let to_dot ?(name = "trace") g =
       Buffer.add_string buf
         (Format.sprintf
            "  n%d [label=\"%s\\n%s\", style=filled, fillcolor=%s];\n" n.id
-           n.op_name
+           (name n)
            (Shape.to_string n.shape)
            color);
       List.iter

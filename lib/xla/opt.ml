@@ -18,7 +18,7 @@ let map_graph (g : Hlo.graph) (rewrite : Hlo.node -> Hlo.node list -> Hlo.node) 
     (List.map (fun (o : Hlo.node) -> Hashtbl.find subst o.id) g.outputs)
 
 let literal_value (n : Hlo.node) =
-  match n.role with Literal v -> Some v | Compute | Param _ -> None
+  match n.role with Literal v -> Some v | Compute _ | Param _ -> None
 
 (* Checked mode installs the HLO checker here; called with the pass name
    and its output graph after every pass. *)
@@ -28,38 +28,37 @@ let checked name g =
   !post_pass_hook name g;
   g
 
+(* CSE identity of a node whose inputs are already rewritten: the same role
+   (typed op, parameter position or literal contents), shape and input
+   nodes. *)
+module Node_key = Hashtbl.Make (struct
+  type t = Hlo.node
+
+  let equal (a : Hlo.node) (b : Hlo.node) =
+    Hlo.role_equal a.role b.role
+    && Shape.equal a.shape b.shape
+    && List.equal
+         (fun (x : Hlo.node) (y : Hlo.node) -> x.id = y.id)
+         a.inputs b.inputs
+
+  let hash (n : Hlo.node) =
+    List.fold_left
+      (fun h (i : Hlo.node) -> (h * 31) + i.id)
+      ((Hlo.role_hash n.role * 31) + Shape.hash n.shape)
+      n.inputs
+end)
+
 let cse g =
-  let seen : (string, Hlo.node) Hashtbl.t = Hashtbl.create 64 in
+  let seen = Node_key.create 64 in
   checked "cse"
-  @@ map_graph g (fun n inputs ->
-      let key =
-        Format.asprintf "%s|%s|%a|%s" n.op_name n.attrs Shape.pp n.shape
-          (String.concat ","
-             (List.map (fun (i : Hlo.node) -> string_of_int i.id) inputs))
-      in
+  @@ map_graph g (fun n _ ->
       match n.role with
       | Param _ -> n
-      | Literal v -> begin
-          (* Literals participate keyed by contents. [hash_contents] reads a
-             bounded prefix of the buffer in place — no per-literal array
-             copy per CSE pass — so the [Dense.equal] confirm below stays
-             load-bearing for literals that agree on the prefix. *)
-          let key = key ^ "#" ^ string_of_int (Dense.hash_contents v) in
-          match Hashtbl.find_opt seen key with
-          | Some prior
-            when Option.fold ~none:false
-                   ~some:(fun pv -> Dense.equal pv v)
-                   (literal_value prior) ->
-              prior
-          | Some _ | None ->
-              Hashtbl.replace seen key n;
-              n
-        end
-      | Compute -> begin
-          match Hashtbl.find_opt seen key with
+      | Compute _ | Literal _ -> begin
+          match Node_key.find_opt seen n with
           | Some prior -> prior
           | None ->
-              Hashtbl.add seen key n;
+              Node_key.add seen n n;
               n
         end)
 
@@ -68,10 +67,12 @@ let constant_fold g =
   @@ map_graph g (fun n inputs ->
       match n.role with
       | Param _ | Literal _ -> n
-      | Compute ->
+      | Compute prim ->
           let values = List.map literal_value inputs in
           if inputs <> [] && List.for_all Option.is_some values then
-            Hlo.literal (n.kernel (Array.of_list (List.map Option.get values)))
+            Hlo.literal
+              (S4o_ops.Catalog.apply prim
+                 (Array.of_list (List.map Option.get values)))
           else n)
 
 let dead_code_elim g =
@@ -82,11 +83,11 @@ type cluster = { members : Hlo.node list; info : S4o_device.Op_info.t }
 let fusible (n : Hlo.node) =
   match (n.role, n.info.S4o_device.Op_info.kind) with
   | (Param _ | Literal _), _ -> false
-  | Compute, (S4o_device.Op_info.Elementwise | Reduction | Data_movement) -> true
-  | Compute, (S4o_device.Op_info.Contraction | Fused _) -> false
+  | Compute _, (S4o_device.Op_info.Elementwise | Reduction | Data_movement) -> true
+  | Compute _, (S4o_device.Op_info.Contraction | Fused _) -> false
 
 let is_compute (n : Hlo.node) =
-  match n.role with Compute -> true | Param _ | Literal _ -> false
+  match n.role with Compute _ -> true | Param _ | Literal _ -> false
 
 let fuse (g : Hlo.graph) =
   (* cluster id per node id; clusters accumulate members in reverse topo *)

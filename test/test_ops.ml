@@ -11,9 +11,9 @@ module Op = S4o_device.Op_info
 let rng = Prng.create 31
 
 let run (op : C.op) args =
-  let out = op.C.kernel args in
+  let out = C.apply op.C.prim args in
   if not (Shape.equal (Dense.shape out) op.C.out_shape) then
-    Alcotest.failf "%s: declared shape %s, kernel produced %s" op.C.name
+    Alcotest.failf "%s: declared shape %s, kernel produced %s" (C.name op.C.prim)
       (Shape.to_string op.C.out_shape)
       (Shape.to_string (Dense.shape out));
   out
@@ -59,9 +59,18 @@ let test_unary_ops_match_dense () =
     cases
 
 let test_scale_attrs_distinguish_constants () =
-  let a = C.scale 2.0 [| 4 |] in
-  let b = C.scale 3.0 [| 4 |] in
-  Test_util.check_true "constants recorded in attrs" (a.C.attrs <> b.C.attrs)
+  let differ c c' =
+    not (C.equal (C.scale c [| 4 |]).C.prim (C.scale c' [| 4 |]).C.prim)
+  in
+  Test_util.check_true "constants recorded in the op" (differ 2.0 3.0);
+  Test_util.check_true "all digits kept" (differ 1.0000001 1.0000004);
+  Test_util.check_true "sign of zero kept" (differ 0.0 (-0.0));
+  Test_util.check_true "same constant, same op"
+    (not (differ 1.0000001 1.0000001));
+  Test_util.check_true "add_scalar keeps its constant"
+    (not
+       (C.equal (C.add_scalar 0.5 [| 4 |]).C.prim
+          (C.add_scalar 0.5000001 [| 4 |]).C.prim))
 
 let test_relu_grad_kernel () =
   let x = Dense.of_array [| 4 |] [| -1.0; 2.0; -3.0; 4.0 |] in
@@ -163,8 +172,9 @@ let test_cost_metadata_sane () =
   in
   List.iter
     (fun (op : C.op) ->
-      Test_util.check_true (op.C.name ^ " flops >= 0") (op.C.info.Op.flops >= 0);
-      Test_util.check_true (op.C.name ^ " bytes out > 0") (op.C.info.Op.bytes_out > 0))
+      let name = C.name op.C.prim in
+      Test_util.check_true (name ^ " flops >= 0") (op.C.info.Op.flops >= 0);
+      Test_util.check_true (name ^ " bytes out > 0") (op.C.info.Op.bytes_out > 0))
     ops
 
 let qcheck_elementwise_flops_scale_with_numel =

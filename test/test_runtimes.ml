@@ -313,3 +313,217 @@ let auto_cut_suite =
   ]
 
 let suite = suite @ auto_cut_suite
+
+(* {1 Exact trace identity}
+
+   A cache hit must run exactly the program that was traced: constants that
+   differ in any bit are different programs. *)
+
+let test_lazy_cache_hits_are_exact () =
+  with_lazy (fun lazy_bk rt _ ->
+      let x = Dense.of_array [| 3 |] [| 2.0; -1.5; 0.25 |] in
+      let scale c (module B : Backend_intf.S) =
+        B.to_dense (B.scale c (B.of_dense x))
+      in
+      let add_scalar c (module B : Backend_intf.S) =
+        B.to_dense (B.add_scalar c (B.of_dense x))
+      in
+      let check name program =
+        Test_util.check_true name
+          (Dense.equal (program (module Naive_backend : Backend_intf.S))
+             (program lazy_bk))
+      in
+      check "scale 1.0000001" (scale 1.0000001);
+      check "scale 1.0000004" (scale 1.0000004);
+      check "add_scalar 0.5" (add_scalar 0.5);
+      check "add_scalar 0.5000001" (add_scalar 0.5000001);
+      (* Adam's bias correction late in training *)
+      for t = 90 to 93 do
+        check
+          (Printf.sprintf "bias correction at t=%d" t)
+          (scale (1.0 /. (1.0 -. (0.9 ** float_of_int t))))
+      done;
+      let before = S4o_lazy.Lazy_runtime.cache_size rt in
+      ignore (scale 0.0 lazy_bk);
+      ignore (scale (-0.0) lazy_bk);
+      Test_util.check_int "0.0 and -0.0 are two programs" (before + 2)
+        (S4o_lazy.Lazy_runtime.cache_size rt))
+
+(* Random straight-line programs over catalog ops. Every register's shape
+   is the base shape with leading dimensions dropped and some dimensions
+   set to 1, so any two registers broadcast together. The composite unary
+   ops keep every value finite, so [Dense.equal] can compare them. *)
+type instr =
+  | Unary of
+      [ `Neg | `Relu | `Sigmoid | `Tanh | `Softmax | `Exp_tanh | `Log_sigmoid
+      | `Sqrt_sigmoid ]
+      * int
+  | Scalar of [ `Scale | `Add_scalar ] * float * int
+  | Binary of [ `Add | `Sub | `Mul | `Div | `Relu_grad ] * int * int
+  | Sum of int option * int  (** [Some axis] keeps dims; [None] sums all. *)
+
+let random_program g =
+  let base = Array.init (1 + Prng.int g 3) (fun _ -> 1 + Prng.int g 4) in
+  let sub_shape () =
+    let drop = Prng.int g (Array.length base + 1) in
+    Array.map
+      (fun d -> if Prng.int g 3 = 0 then 1 else d)
+      (Array.sub base drop (Array.length base - drop))
+  in
+  let inputs = List.init (1 + Prng.int g 3) (fun _ -> sub_shape ()) in
+  let shapes = ref (Array.of_list inputs) in
+  let pick () = Prng.int g (Array.length !shapes) in
+  let constant () =
+    match Prng.int g 5 with
+    | 0 -> 0.0
+    | 1 -> -0.0
+    | _ -> Prng.uniform g ~lo:(-3.0) ~hi:3.0
+  in
+  let instr () =
+    let a = pick () in
+    let rank = Shape.rank !shapes.(a) in
+    match Prng.int g 4 with
+    | 0 ->
+        let ops =
+          [|
+            `Neg; `Relu; `Sigmoid; `Tanh; `Exp_tanh; `Log_sigmoid; `Sqrt_sigmoid;
+          |]
+        in
+        if rank = 2 && Prng.int g 3 = 0 then Unary (`Softmax, a)
+        else Unary (ops.(Prng.int g (Array.length ops)), a)
+    | 1 ->
+        let op = if Prng.int g 2 = 0 then `Scale else `Add_scalar in
+        Scalar (op, constant (), a)
+    | 2 ->
+        let ops = [| `Add; `Sub; `Mul; `Div; `Relu_grad |] in
+        Binary (ops.(Prng.int g (Array.length ops)), a, pick ())
+    | _ -> Sum ((if rank > 0 then Some (Prng.int g rank) else None), a)
+  in
+  let program =
+    List.init (1 + Prng.int g 8) (fun _ ->
+        let i = instr () in
+        let s = !shapes in
+        let out =
+          match i with
+          | Unary (_, a) | Scalar (_, _, a) -> s.(a)
+          | Binary (_, a, b) -> Shape.broadcast s.(a) s.(b)
+          | Sum (Some axis, a) ->
+              Shape.reduce_axes ~keep_dims:true s.(a) [ axis ]
+          | Sum (None, _) -> [||]
+        in
+        shapes := Array.append s [| out |];
+        i)
+  in
+  (inputs, program)
+
+(* Run a program and read back its last register. *)
+let run_program (module B : Backend_intf.S) inputs program =
+  let regs = ref (Array.of_list (List.map B.of_dense inputs)) in
+  List.iter
+    (fun i ->
+      let r k = !regs.(k) in
+      let v =
+        match i with
+        | Unary (`Neg, a) -> B.neg (r a)
+        | Unary (`Relu, a) -> B.relu (r a)
+        | Unary (`Sigmoid, a) -> B.sigmoid (r a)
+        | Unary (`Tanh, a) -> B.tanh (r a)
+        | Unary (`Softmax, a) -> B.softmax (r a)
+        | Unary (`Exp_tanh, a) -> B.exp (B.tanh (r a))
+        | Unary (`Log_sigmoid, a) -> B.log (B.sigmoid (r a))
+        | Unary (`Sqrt_sigmoid, a) -> B.sqrt (B.sigmoid (r a))
+        | Scalar (`Scale, c, a) -> B.scale c (r a)
+        | Scalar (`Add_scalar, c, a) -> B.add_scalar c (r a)
+        | Binary (`Add, a, b) -> B.add (r a) (r b)
+        | Binary (`Sub, a, b) -> B.sub (r a) (r b)
+        | Binary (`Mul, a, b) -> B.mul (r a) (r b)
+        | Binary (`Div, a, b) ->
+            B.div (r a) (B.add_scalar 1.5 (B.sigmoid (r b)))
+        | Binary (`Relu_grad, a, b) -> B.relu_grad (r a) (r b)
+        | Sum (Some axis, a) -> B.sum_axes ~keep_dims:true (r a) [ axis ]
+        | Sum (None, a) -> B.sum_all (r a)
+      in
+      regs := Array.append !regs [| v |])
+    program;
+  B.to_dense !regs.(Array.length !regs - 1)
+
+let qcheck_random_programs_exact =
+  Test_util.qtest ~count:60
+    "random programs: naive = eager = lazy, cache hits exact"
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let g = Prng.create seed in
+      let shapes, program = random_program g in
+      let fresh_inputs () = List.map (Dense.rand_normal g) shapes in
+      let naive inputs p = run_program (module Naive_backend) inputs p in
+      let inputs = fresh_inputs () in
+      let eager_agrees =
+        with_eager (fun bk _ _ ->
+            Dense.equal (naive inputs program) (run_program bk inputs program))
+      in
+      (* Perturbing every constant by one ulp makes a new program whenever
+         a constant reaches the output; the repeat of each run hits. *)
+      let perturbed =
+        List.map
+          (function Scalar (op, c, a) -> Scalar (op, Float.succ c, a) | i -> i)
+          program
+      in
+      with_lazy (fun bk rt _ ->
+          let runs = [ program; program; perturbed; perturbed ] in
+          let lazy_agrees =
+            List.for_all
+              (fun p ->
+                let inputs = fresh_inputs () in
+                Dense.equal (naive inputs p) (run_program bk inputs p))
+              runs
+          in
+          let st = S4o_lazy.Lazy_runtime.stats rt in
+          let misses = st.S4o_lazy.Lazy_runtime.cache_misses in
+          eager_agrees && lazy_agrees
+          && (misses = 1 || misses = 2)
+          && st.S4o_lazy.Lazy_runtime.cache_hits = 4 - misses))
+
+(* {1 Pullbacks skip constants}
+
+   A LeNet step's input batch is a constant: its conv2d_backward_input
+   would be thrown away, so it must not run. conv2's runs. *)
+
+let test_eager_lenet_step_skips_constant_input_grad () =
+  with_eager (fun (module Bk) rt engine ->
+      let module M = S4o_nn.Models.Make (Bk) in
+      let module O = S4o_nn.Optimizer.Make (Bk) in
+      let module T = S4o_nn.Train.Make (Bk) in
+      let g = Prng.create 5 in
+      let model = M.lenet g in
+      let opt = O.sgd ~lr:0.05 model in
+      let images = Dense.rand_normal g [| 2; 28; 28; 1 |] in
+      let labels =
+        Dense.one_hot ~classes:10 (Dense.of_array [| 2 |] [| 3.0; 7.0 |])
+      in
+      S4o_eager.Runtime.reset_stats rt;
+      ignore (T.step model opt ~images ~labels);
+      let dispatched name =
+        List.length
+          (List.filter
+             (fun (s : S4o_obs.Recorder.span) ->
+               s.cat = "dispatch" && s.name = name)
+             (S4o_obs.Recorder.spans (Engine.recorder engine)))
+      in
+      Test_util.check_int "conv2d_backward_input dispatches" 1
+        (dispatched "conv2d_backward_input");
+      Test_util.check_int "conv2d_backward_filter dispatches" 2
+        (dispatched "conv2d_backward_filter"))
+
+let identity_suite =
+  let tc = Alcotest.test_case in
+  [
+    ( "runtimes.identity",
+      [
+        tc "cache hits are exact" `Quick test_lazy_cache_hits_are_exact;
+        qcheck_random_programs_exact;
+        tc "LeNet step skips constant input grad" `Quick
+          test_eager_lenet_step_skips_constant_input_grad;
+      ] );
+  ]
+
+let suite = suite @ identity_suite
